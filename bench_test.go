@@ -136,17 +136,7 @@ func BenchmarkTopDownAuthor(b *testing.B) {
 	benchAlgo(b, dccs.TopDown, dccs.Options{D: 3, K: 10, Seed: 1})
 }
 
-// Ablation benches for the design choices called out in DESIGN.md: the
-// index-based RefineC vs the plain dCC refinement inside TD-DCCS, and the
-// pruning lemmas inside BU-DCCS.
-func BenchmarkTopDownIndexRefine(b *testing.B) {
-	benchAlgo(b, dccs.TopDown, dccs.Options{D: 3, K: 10, Seed: 1})
-}
-
-func BenchmarkTopDownDCCRefine(b *testing.B) {
-	benchAlgo(b, dccs.TopDown, dccs.Options{D: 3, K: 10, Seed: 1, UseDCCRefine: true})
-}
-
+// Ablation benches for the pruning lemmas inside BU-DCCS (DESIGN.md).
 func BenchmarkBottomUpPruned(b *testing.B) {
 	benchAlgo(b, dccs.BottomUp, dccs.Options{D: 3, S: 3, K: 10, Seed: 1})
 }

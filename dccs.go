@@ -15,7 +15,7 @@
 //   - BottomUp: search over growing layer subsets with interleaved top-k
 //     maintenance and pruning. Ratio 1/4. Fastest when s < l/2.
 //   - TopDown: search over shrinking layer subsets with potential-vertex-
-//     set refinement over a removal-hierarchy index. Ratio 1/4. Fastest
+//     set refinement inside a removal-hierarchy scope. Ratio 1/4. Fastest
 //     when s ≥ l/2.
 //
 // # Quickstart
@@ -31,7 +31,7 @@
 //
 // An Engine is the serving-path entry point: it caches the expensive
 // per-graph preparation (per-layer coreness, vertex-deletion survivors,
-// the top-down removal-hierarchy index) so that only the first query per
+// the per-d removal hierarchy) so that only the first query per
 // degree threshold d pays for it, and every query is cancellable through
 // its context and streamable through Query.OnCandidate. Search and the
 // per-algorithm free functions remain as one-shot wrappers over a
@@ -153,12 +153,12 @@ func Greedy(g *Graph, opts Options) (*Result, error) { return core.GreedyDCCS(g,
 func BottomUp(g *Graph, opts Options) (*Result, error) { return core.BottomUpDCCS(g, opts) }
 
 // TopDown runs the TD-DCCS algorithm (approximation ratio 1/4),
-// preferred when s ≥ l/2, as a one-shot call that rebuilds the removal-
-// hierarchy index per invocation. It supports at most 64 layers.
+// preferred when s ≥ l/2, as a one-shot call that rebuilds the removal
+// hierarchy per invocation. It supports at most 64 layers.
 //
 // Deprecated: serving paths should hold a long-lived Engine and call
 // Engine.Search with Query.Algorithm = AlgoTopDown, which builds the
-// index once per degree threshold; see Greedy.
+// hierarchy once per degree threshold; see Greedy.
 func TopDown(g *Graph, opts Options) (*Result, error) { return core.TopDownDCCS(g, opts) }
 
 // Search runs the search algorithm the paper recommends for the given

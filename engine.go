@@ -54,7 +54,6 @@ type EngineConfig struct {
 	NoOrderPruning     bool
 	NoLayerPruning     bool
 	NoPotentialPruning bool
-	UseDCCRefine       bool
 }
 
 // Query carries the per-request parameters of one Engine search. Unlike
@@ -104,7 +103,7 @@ type EngineMetrics struct {
 // that amortizes the expensive per-graph preparation phase across
 // queries. The DCCS algorithms share preprocessing that is independent
 // of the query parameters (§IV-C vertex deletion, per-layer core
-// decompositions, the §V-C removal-hierarchy index); a one-shot call
+// decompositions, the §V-C removal hierarchy); a one-shot call
 // like Search recomputes all of it per invocation, while an Engine
 // computes each artifact at most once — the d-independent per-layer
 // coreness once per engine, the removal hierarchy once per distinct
@@ -464,7 +463,6 @@ func (e *Engine) options(q Query) Options {
 		NoOrderPruning:     e.cfg.NoOrderPruning,
 		NoLayerPruning:     e.cfg.NoLayerPruning,
 		NoPotentialPruning: e.cfg.NoPotentialPruning,
-		UseDCCRefine:       e.cfg.UseDCCRefine,
 	}
 }
 

@@ -4,7 +4,7 @@
 // wants the coherent-core landscape of a graph across a whole range of
 // density thresholds at once. Issued as 16 separate POST /v1/search
 // calls against a cold replica, each request repays the d-independent
-// preprocessing (per-layer coreness, union adjacency) and builds its
+// preprocessing (per-layer coreness) and builds its
 // hierarchy level alone. POST /v1/search/batch instead canonicalizes
 // the whole set, answers duplicates once, warms every distinct d with a
 // single shared hierarchy sweep, and only then fans the remaining

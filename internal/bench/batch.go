@@ -128,8 +128,8 @@ func (s *Suite) Batch() ([]*Table, *batchBenchReport, error) {
 	// Sequential baseline: N cold single queries, each against a fresh
 	// replica — "cold" in this repo's bench vocabulary (BENCH_engine,
 	// BENCH_core) means a handle with no cached artifacts, so every
-	// request repays the d-independent preprocessing (per-layer coreness
-	// + union adjacency) plus its own per-d hierarchy build. This is the
+	// request repays the d-independent preprocessing (per-layer coreness)
+	// plus its own per-d hierarchy build. This is the
 	// fan-out a client doing N one-off queries against a replica set
 	// pays; the batch path below answers the same N queries on one cold
 	// replica with one shared sweep.

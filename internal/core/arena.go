@@ -6,24 +6,21 @@ import (
 
 // queryArena bundles the per-query allocations that previously dominated
 // newPrep and the top-down search scratch: the survivor bitset, the
-// per-layer reduced cores, and the refineU/refineC buffers (state bytes,
-// Rule 2 counters, the l×n d⁺ counter block, and the Lemma 8 scope set).
-// Arenas are pooled per Prepared — all buffers are sized for that
-// handle's graph — and checked out for the duration of one query, so a
-// steady query load reaches a fixed point of zero large allocations.
+// per-layer reduced cores, and the refineU/refineC buffers (Rule 2
+// counters and the Lemma 8 scope set). Arenas are pooled per Prepared —
+// all buffers are sized for that handle's graph — and checked out for
+// the duration of one query, so a steady query load reaches a fixed
+// point of zero large allocations.
 //
-// Invariants between checkouts: state is all-zero (refineC restores it
-// on every exit path, including aborts); counts and dplus are written
-// before they are read; alive, cores and z are rebuilt from scratch
-// (Clear/Fill) by their consumers. Nothing in a Result aliases arena
-// memory — finish and the greedy/exact selection copy vertices and
-// layers — so releasing after result assembly is safe.
+// Invariants between checkouts: counts is written before it is read;
+// alive, cores and z are rebuilt from scratch (Clear/Fill) by their
+// consumers. Nothing in a Result aliases arena memory — finish and the
+// greedy/exact selection copy vertices and layers — so releasing after
+// result assembly is safe.
 type queryArena struct {
 	alive  *bitset.Set
 	cores  []*bitset.Set
-	state  []uint8
 	counts []int32
-	dplus  [][]int32
 	z      *bitset.Set
 }
 
@@ -37,14 +34,11 @@ func (pr *Prepared) getArena() *queryArena {
 	a := &queryArena{
 		alive:  bitset.New(n),
 		cores:  make([]*bitset.Set, l),
-		state:  make([]uint8, n),
 		counts: make([]int32, n),
-		dplus:  make([][]int32, l),
 		z:      bitset.New(n),
 	}
 	for i := 0; i < l; i++ {
 		a.cores[i] = bitset.New(n)
-		a.dplus[i] = make([]int32, n)
 	}
 	return a
 }
@@ -65,14 +59,10 @@ func (p *prep) release() {
 // searchScratch returns the top-down search buffers, backed by the
 // query's arena when one is checked out; the cancelled-build path has
 // none and falls back to fresh allocations.
-func (p *prep) searchScratch() (state []uint8, counts []int32, dplus [][]int32, z *bitset.Set) {
+func (p *prep) searchScratch() (counts []int32, z *bitset.Set) {
 	if a := p.arena; a != nil {
-		return a.state, a.counts, a.dplus, a.z
+		return a.counts, a.z
 	}
-	n, l := p.g.N(), p.g.L()
-	dplus = make([][]int32, l)
-	for i := range dplus {
-		dplus[i] = make([]int32, n)
-	}
-	return make([]uint8, n), make([]int32, n), dplus, bitset.New(n)
+	n := p.g.N()
+	return make([]int32, n), bitset.New(n)
 }

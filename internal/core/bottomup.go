@@ -70,6 +70,13 @@ type buSearch struct {
 }
 
 // posCore returns the d-core of the layer at the given search position.
+//
+// It is also the root child's d-CC C^d_{{pos}}: the reduced core
+// {v : coreh(v) ≥ s} is the hierarchy's layer core after threshold s−1,
+// i.e. the d-core of that layer within the alive graph, which is exactly
+// what peeling alive ∩ core on the single layer would return. The root
+// children therefore need no peel (and count no DCC call). The set
+// belongs to the query arena and must not be mutated.
 func (b *buSearch) posCore(pos int) *bitset.Set {
 	return b.prep.cores[b.prep.order[pos]]
 }
@@ -85,20 +92,18 @@ func (b *buSearch) posCore(pos int) *bitset.Set {
 // a MaxTreeNodes budget, which the workers share and race for.
 func (b *buSearch) genParallel(workers int) *coverage.TopK {
 	p := b.prep
-	g, d, s := p.g, p.opts.D, p.opts.S
+	g, s := p.g, p.opts.S
 	l := g.L()
 	if !p.admitNode() {
 		return b.topk
 	}
 
-	// Materialize all root children in parallel (lines 2–9 of BU-Gen
-	// with L = ∅: LP is every position).
+	// The root children (lines 2–9 of BU-Gen with L = ∅: LP is every
+	// position) are the reduced per-layer cores themselves; see posCore.
 	children := make([]*bitset.Set, l)
-	pool.Run(workers, l, func(j int) {
-		seed := p.alive.Intersection(b.posCore(j)) // Lemma 1 scope
-		p.stats.dccCalls.Add(1)
-		children[j] = kcore.DCC(g, seed, p.layersOf([]int{j}), d)
-	})
+	for j := range children {
+		children[j] = b.posCore(j)
+	}
 
 	if s == 1 {
 		// The root children are the leaves; offer them to the shared
@@ -171,6 +176,9 @@ func (b *buSearch) gen(L []int, cL *bitset.Set, lq uint64) {
 		return p.layersOf(append(append(make([]int, 0, len(L)+1), L...), j))
 	}
 	computeChild := func(j int) *bitset.Set {
+		if len(L) == 0 {
+			return b.posCore(j) // root child: no peel needed
+		}
 		seed := cL.Intersection(b.posCore(j)) // Lemma 1 scope
 		p.stats.dccCalls.Add(1)
 		return kcore.DCC(g, seed, childLayers(j), d)

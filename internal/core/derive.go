@@ -29,8 +29,8 @@ type DirtySet struct {
 	// len(Layers) are treated as clean.
 	Layers []bool
 	// UnionVerts lists every vertex incident to a changed edge (sorted,
-	// deduplicated). Their union-adjacency rows are re-derived from the
-	// new graph; all other rows are shared with the old handle.
+	// deduplicated). Derive ignores it: no cached artifact is keyed by
+	// vertex any more. It stays for callers that report it.
 	UnionVerts []int32
 	// MaxDirtyD is max over changed edges of min(deg(u), deg(v)) on the
 	// edge's layer, counting the edge itself. Removal hierarchies with
@@ -61,12 +61,11 @@ func (pr *Prepared) Version() uint64 { return pr.version.Load() }
 //
 //   - per-layer coreness rows of clean layers are shared; dirty layers
 //     are recomputed (in parallel) from g;
-//   - completed per-d hierarchies with d > dirty.MaxDirtyD are kept,
-//     re-pointed at a union adjacency whose dirty rows were patched from
-//     g (Lemma 9's seed flood must see the new edges); entries at or
-//     below the bound — and entries whose d exceeds the new
-//     maxCoreness+1 sentinel clamp — are dropped and eagerly rebuilt on
-//     the new handle, all sharing one sweep (see rebuildHierarchies).
+//   - completed per-d hierarchies with d > dirty.MaxDirtyD are shared
+//     with the old handle; entries at or below the bound — and entries
+//     whose d exceeds the new maxCoreness+1 sentinel clamp — are dropped
+//     and eagerly rebuilt on the new handle, all sharing one sweep (see
+//     rebuildHierarchies).
 //
 // pr itself is never mutated: queries running against the old handle
 // keep observing a consistent pre-update state. The returned handle is
@@ -111,20 +110,18 @@ func (pr *Prepared) Derive(g *multilayer.Graph, dirty DirtySet, version uint64) 
 	}
 	np.hierarchyBuilds.Store(pr.hierarchyBuilds.Load())
 
-	// Snapshot the completed per-d entries under pr.mu, then decide
-	// retention outside the lock. In-flight builds (done not yet set)
-	// belong to the old graph and are simply not carried.
+	// Decide retention over the completed per-d entries under pr.mu.
+	// In-flight builds (done not yet set) belong to the old graph and are
+	// simply not carried. Hierarchies are immutable once built, so kept
+	// entries are shared by pointer: queries on the old handle keep
+	// reading the same arrays. np is not published yet, so its map needs
+	// no lock.
 	pr.mu.Lock()
 	ds := make([]int, 0, len(pr.byD))
 	for d := range pr.byD {
 		ds = append(ds, d)
 	}
 	slices.Sort(ds)
-	type kept struct {
-		d    int
-		hier *hierarchy
-	}
-	var keep []kept
 	var rebuild []int
 	for _, d := range ds {
 		a := pr.byD[d]
@@ -135,7 +132,10 @@ func (pr *Prepared) Derive(g *multilayer.Graph, dirty DirtySet, version uint64) 
 		// update) and the sentinel clamp (still addressable: restore and
 		// hierarchyFor clamp d at maxCoreness+1 of the NEW graph).
 		if d > dirty.MaxDirtyD && d <= maxCoreness+1 {
-			keep = append(keep, kept{d: d, hier: a.hier})
+			kept := &dArtifact{hier: a.hier}
+			kept.done.Store(true)
+			np.byD[d] = kept
+			info.RetainedHierarchies++
 		} else {
 			info.InvalidatedHierarchies++
 			if d > maxCoreness+1 {
@@ -145,46 +145,6 @@ func (pr *Prepared) Derive(g *multilayer.Graph, dirty DirtySet, version uint64) 
 		}
 	}
 	pr.mu.Unlock()
-	info.RetainedHierarchies = len(keep)
-
-	if len(keep) == 0 {
-		info.RebuiltHierarchies = np.rebuildHierarchies(rebuild)
-		return np, info
-	}
-
-	// Kept hierarchies reference the union adjacency as their index
-	// edges (refineC's Lemma 9 flood). A stale row could hide a new edge
-	// from the flood — unsound — so rows of update-touched vertices are
-	// re-derived from g while clean rows are shared. The patched array
-	// is installed as np's union adjacency: it equals a cold build row
-	// for row, so lazily built hierarchies for other d values share it.
-	var newUA [][]int32
-	if l <= 64 {
-		oldUA := pr.unionAdjacency()
-		newUA = make([][]int32, len(oldUA))
-		copy(newUA, oldUA)
-		pool.Run(np.workers, len(dirty.UnionVerts), func(j int) {
-			v := int(dirty.UnionVerts[j])
-			if v >= 0 && v < len(newUA) {
-				newUA[v] = g.UnionNeighbors(v)
-			}
-		})
-		np.unionAdjOnce.Do(func() { np.unionAdj = newUA })
-	}
-	np.mu.Lock()
-	for _, k := range keep {
-		// Shallow-clone the index so the old handle's artifact is never
-		// mutated (queries may still be reading it); everything but the
-		// union-adjacency pointer is shared.
-		idx := *k.hier.idx
-		if idx.unionAdj != nil {
-			idx.unionAdj = newUA
-		}
-		a := &dArtifact{hier: &hierarchy{idx: &idx, coreh: k.hier.coreh}}
-		a.done.Store(true)
-		np.byD[k.d] = a
-	}
-	np.mu.Unlock()
 	info.RebuiltHierarchies = np.rebuildHierarchies(rebuild)
 	return np, info
 }

@@ -8,68 +8,42 @@ import (
 	"repro/internal/multilayer"
 )
 
-// tdIndex is the removal-hierarchy index of §V-C. Vertices are removed
-// from the graph in batches: at threshold h, every vertex whose support
-// Num(v) has dropped to ≤ h is removed, cores are recomputed, and the
-// process repeats before h advances. Each batch is one level; I_h is the
-// union of the levels processed at threshold h. Each vertex records the
-// layer set L(v) whose d-cores contained it just before its batch was
-// removed.
+// hierarchy holds the per-d artifacts of one §V-C removal-hierarchy
+// sweep over the full graph. Vertices are removed in batches: at
+// threshold h, every vertex whose support Num(v) has dropped to ≤ h is
+// removed, cores are recomputed, and the process repeats before h
+// advances. The sweep records two things:
 //
-// The index justifies two prunings used by RefineC:
-//
-//   - Lemma 8: C^d_{L′} ⊆ ∪_{h ≥ |L′|} I_h, since the first member of any
-//     d-CC to be removed still has all members present, hence support
-//     ≥ |L′|, and thresholds only grow.
-//   - Lemma 9: every member of C^d_{L′} is reachable from a "seed" vertex
-//     w0 with L′ ⊆ L(w0) along index edges ascending through the levels.
-//
-// The index is built on the full graph, threshold 0 included, so it is
-// keyed by d alone and shared read-only by every query: queries with a
-// support threshold s only ever probe vertices with h(v) ≥ |L′| ≥ s, and
-// the batch sequence at thresholds ≥ s is identical to the one an index
-// built on the s-preprocessed graph would produce (see DESIGN.md).
-type tdIndex struct {
-	h        []int32   // threshold at which the vertex was removed
-	level    []int32   // 1-based batch number (global, increasing)
-	lmask    []uint64  // L(v) as an original-layer bitmask (l ≤ 64 only)
-	levels   [][]int32 // levels[i] = vertices of batch i+1
-	unionAdj [][]int32 // index edges: union adjacency among indexed vertices
-}
-
-// hierarchy bundles the per-d artifacts one removal-hierarchy sweep over
-// the full graph yields:
-//
-//   - idx: the top-down removal-hierarchy index above;
+//   - h[v]: the threshold at which v was removed. It bounds RefineC's
+//     scope by Lemma 8: C^d_{L′} ⊆ {v : h(v) ≥ |L′|}, since the first
+//     member of any d-CC to be removed still has all members present,
+//     hence support ≥ |L′|, and thresholds only grow.
 //   - coreh[i][v]: the threshold at which v dropped out of layer i's
 //     d-core (0 when v was never a member).
 //
 // Because the §IV-C vertex-deletion fixpoint for support s equals the
 // hierarchy state after threshold s−1, the survivors for ANY s are
-// {v : idx.h[v] ≥ s} and the reduced d-core of layer i is
+// {v : h[v] ≥ s} and the reduced d-core of layer i is
 // {v : coreh[i][v] ≥ s} — the whole preprocessing phase becomes two O(n)
-// scans per query once the hierarchy is cached.
+// scans per query once the hierarchy is cached. The sweep runs on the
+// full graph, threshold 0 included, so it is keyed by d alone and shared
+// read-only by every query (see DESIGN.md).
 type hierarchy struct {
-	idx   *tdIndex
+	h     []int32
 	coreh [][]int32
 }
 
 // buildHierarchy constructs the removal hierarchy of g for degree
 // threshold d, seeding the tracker from the caller's (required)
-// per-layer coreness arrays so the initial peel is skipped. unionAdj is
-// the caller's materialized union adjacency, referenced as the index
-// edges; like the lmask field it requires l(g) ≤ 64 and is skipped (nil)
-// beyond that — the top-down algorithm rejects such graphs before
-// touching either. The h, level and coreh arrays are always populated,
-// which is all the bottom-up and greedy paths consume.
+// per-layer coreness arrays so the initial peel is skipped.
 //
 // The batch loop polls ctx between batches: a partial hierarchy is
-// never a valid artifact (levels above the abort point would be
+// never a valid artifact (thresholds above the abort point would be
 // missing), so cancellation returns nil and the caller must not cache
 // the result. A nil ctx runs to completion.
-func buildHierarchy(ctx context.Context, g *multilayer.Graph, d int, coreness [][]int, unionAdj [][]int32, workers int) *hierarchy {
+func buildHierarchy(ctx context.Context, g *multilayer.Graph, d int, coreness [][]int, workers int) *hierarchy {
 	tr := kcore.NewTrackerFromCoreness(g, d, coreness, workers)
-	return runHierarchy(ctx, g, tr, unionAdj, newHierScratch(g))
+	return runHierarchy(ctx, g, tr, newHierScratch(g))
 }
 
 // buildHierarchies builds the removal hierarchies for every threshold in
@@ -85,14 +59,14 @@ func buildHierarchy(ctx context.Context, g *multilayer.Graph, d int, coreness []
 // cancelled context the function stops and returns ctx.Err(), after
 // having emitted only fully completed thresholds — the caller may cache
 // exactly what was emitted.
-func buildHierarchies(ctx context.Context, g *multilayer.Graph, ds []int, coreness [][]int, unionAdj [][]int32, workers int, emit func(d int, hr *hierarchy)) error {
+func buildHierarchies(ctx context.Context, g *multilayer.Graph, ds []int, coreness [][]int, workers int, emit func(d int, hr *hierarchy)) error {
 	sweep := kcore.NewSweep(g, coreness, workers)
 	sc := newHierScratch(g)
 	for _, d := range ds {
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		hr := runHierarchy(ctx, g, sweep.TrackerAt(d), unionAdj, sc)
+		hr := runHierarchy(ctx, g, sweep.TrackerAt(d), sc)
 		if hr == nil {
 			return ctx.Err()
 		}
@@ -102,11 +76,13 @@ func buildHierarchies(ctx context.Context, g *multilayer.Graph, ds []int, corene
 }
 
 // hierScratch is the reusable state of the batch loop: the bucket queue
-// over support counts and the in-batch markers. runHierarchy resets it
-// on entry, so one scratch serves any sequence of builds.
+// over support counts, the in-batch markers and the current batch.
+// runHierarchy resets it on entry, so one scratch serves any sequence of
+// builds.
 type hierScratch struct {
 	buckets [][]int32
 	inBatch []bool
+	batch   []int32
 }
 
 func newHierScratch(g *multilayer.Graph) *hierScratch {
@@ -121,21 +97,13 @@ func newHierScratch(g *multilayer.Graph) *hierScratch {
 // positioned at the full graph (all vertices alive); its listeners are
 // installed here. Cancellation semantics are buildHierarchy's: a nil
 // return means the context was cancelled and nothing may be cached.
-func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, unionAdj [][]int32, sc *hierScratch) *hierarchy {
+func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, sc *hierScratch) *hierarchy {
 	n := g.N()
-	idx := &tdIndex{
-		h:     make([]int32, n),
-		level: make([]int32, n),
-	}
-	hr := &hierarchy{idx: idx, coreh: make([][]int32, g.L())}
+	hr := &hierarchy{h: make([]int32, n), coreh: make([][]int32, g.L())}
 	for i := range hr.coreh {
 		hr.coreh[i] = make([]int32, n)
 	}
-	wide := g.L() > 64
-	if !wide {
-		idx.lmask = make([]uint64, n)
-		idx.unionAdj = unionAdj
-	}
+	wide := g.L() > 64 // CoreLayers' bitmask holds 64 layers
 
 	// Bucket queue over support counts. Stale entries are tolerated and
 	// validated against the tracker on pop; each vertex re-enters a
@@ -161,7 +129,6 @@ func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, u
 		hr.coreh[layer][v] = curH
 	}
 
-	level := int32(0)
 	// Threshold 0 first: vertices supported by no layer at all, the ones
 	// vertex deletion would remove even at s = 1. Their removal cannot
 	// cascade (they sit outside every core), so the batch is one sweep.
@@ -173,7 +140,7 @@ func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, u
 			}
 			// Collect the batch: all still-alive vertices whose current
 			// support is ≤ h.
-			var batch []int32
+			batch := sc.batch[:0]
 			for c := 0; c <= h; c++ {
 				kept := buckets[c][:0]
 				for _, v32 := range buckets[c] {
@@ -190,19 +157,16 @@ func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, u
 				}
 				buckets[c] = kept
 			}
+			sc.batch = batch
 			if len(batch) == 0 {
 				break
 			}
-			level++
-			// Record L(v) for the whole batch before any removal: the
-			// paper evaluates the core memberships "just before v is
-			// removed from G in batch". The same memberships seed coreh —
-			// removing v ends its membership in every layer it still
-			// belongs to, and the cascade listener covers the rest.
+			// Record the core memberships of the whole batch before any
+			// removal: removing v ends its membership in every layer it
+			// still belongs to, and the cascade listener covers the rest.
 			for _, v32 := range batch {
 				v := int(v32)
-				idx.h[v] = int32(h)
-				idx.level[v] = level
+				hr.h[v] = int32(h)
 				if wide {
 					for i := 0; i < g.L(); i++ {
 						if tr.Core(i).Contains(v) {
@@ -210,15 +174,12 @@ func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, u
 						}
 					}
 				} else {
-					mask := tr.CoreLayers(v)
-					idx.lmask[v] = mask
-					for mask != 0 {
+					for mask := tr.CoreLayers(v); mask != 0; {
 						hr.coreh[bits.TrailingZeros64(mask)][v] = int32(h)
 						mask &= mask - 1
 					}
 				}
 			}
-			idx.levels = append(idx.levels, batch)
 			for _, v32 := range batch {
 				tr.RemoveVertex(int(v32))
 			}

@@ -13,7 +13,7 @@ import (
 // TestBuildHierarchiesMatchesPerD pins the tentpole byte-identity
 // contract: the shared multi-d sweep must produce, for every threshold,
 // a hierarchy deeply equal to an independent buildHierarchy call — same
-// batches, same levels, same layer masks, same coreh thresholds.
+// removal thresholds, same coreh thresholds.
 func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	g := testutil.RandomCorrelatedGraph(rng, 100, 4, 0.25, 0.85, 0.1)
@@ -23,14 +23,12 @@ func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 	if maxc < 2 {
 		t.Fatalf("test graph too sparse: max coreness %d", maxc)
 	}
-	unionAdj := pr.unionAdjacency()
-
 	ds := make([]int, 0, maxc+1)
 	for d := 1; d <= maxc+1; d++ {
 		ds = append(ds, d)
 	}
 	shared := map[int]*hierarchy{}
-	err := buildHierarchies(context.Background(), g, ds, coreness, unionAdj, 2, func(d int, hr *hierarchy) {
+	err := buildHierarchies(context.Background(), g, ds, coreness, 2, func(d int, hr *hierarchy) {
 		shared[d] = hr
 	})
 	if err != nil {
@@ -41,12 +39,12 @@ func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 		if got == nil {
 			t.Fatalf("d=%d: shared pass emitted nothing", d)
 		}
-		want := buildHierarchy(nil, g, d, coreness, unionAdj, 1)
+		want := buildHierarchy(nil, g, d, coreness, 1)
 		if !reflect.DeepEqual(got.coreh, want.coreh) {
 			t.Fatalf("d=%d: coreh differs between shared and per-d build", d)
 		}
-		if !reflect.DeepEqual(got.idx, want.idx) {
-			t.Fatalf("d=%d: index differs between shared and per-d build", d)
+		if !reflect.DeepEqual(got.h, want.h) {
+			t.Fatalf("d=%d: removal thresholds differ between shared and per-d build", d)
 		}
 	}
 }
@@ -73,9 +71,7 @@ func TestPrepareDsMatchesLazy(t *testing.T) {
 	for d := range distinct {
 		got := prA.hierarchyFor(context.Background(), d)
 		want := prB.hierarchyFor(context.Background(), d)
-		if !reflect.DeepEqual(got.coreh, want.coreh) || !reflect.DeepEqual(got.idx.h, want.idx.h) ||
-			!reflect.DeepEqual(got.idx.level, want.idx.level) || !reflect.DeepEqual(got.idx.levels, want.idx.levels) ||
-			!reflect.DeepEqual(got.idx.lmask, want.idx.lmask) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("d=%d: PrepareDs hierarchy differs from lazy build", d)
 		}
 	}
@@ -152,7 +148,7 @@ func TestPrepareDsCancellationCachesCompleted(t *testing.T) {
 	for _, d := range ds {
 		got := pr.hierarchyFor(context.Background(), d)
 		want := cold.hierarchyFor(context.Background(), d)
-		if !reflect.DeepEqual(got.coreh, want.coreh) || !reflect.DeepEqual(got.idx.h, want.idx.h) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("d=%d: resumed hierarchy differs from cold build", d)
 		}
 	}

@@ -7,8 +7,9 @@
 //     pruned by Lemmas 2–4; approximation ratio 1/4.
 //   - TopDownDCCS (TD-DCCS, Figs 8–11): searches the layer-subset tree from
 //     the full layer set downward, maintaining potential vertex sets that
-//     are refined by RefineU/RefineC over a removal-hierarchy index, pruned
-//     by Lemmas 5–7; approximation ratio 1/4. Intended for s ≥ l/2.
+//     are refined by RefineU/RefineC inside the scope of a removal
+//     hierarchy, pruned by Lemmas 5–7; approximation ratio 1/4. Intended
+//     for s ≥ l/2.
 //
 // All algorithms share the preprocessing of §IV-C: vertex deletion, layer
 // sorting and result initialization (InitTopK, Appendix D), each of which
@@ -83,12 +84,6 @@ type Options struct {
 	// NoPotentialPruning disables the Lemma 7 random-descendant shortcut
 	// (top-down).
 	NoPotentialPruning bool
-
-	// UseDCCRefine makes the top-down algorithm compute child d-CCs with
-	// the plain dCC procedure on the Lemma 8 scope instead of the
-	// level-by-level RefineC search; results are identical (ablation
-	// knob for the index design choice).
-	UseDCCRefine bool
 
 	// MaxTreeNodes, when positive, bounds the number of search-tree nodes
 	// the bottom-up and top-down algorithms expand. The DCCS problem is

@@ -36,9 +36,6 @@ type Prepared struct {
 	coreness     [][]int // per layer: full core decomposition (d-independent)
 	maxCoreness  int     // max over layers and vertices; set with coreness
 
-	unionAdjOnce sync.Once
-	unionAdj     [][]int32 // union adjacency (d-independent, shared by all hierarchies)
-
 	mu  sync.Mutex
 	byD map[int]*dArtifact
 
@@ -133,10 +130,6 @@ func (pr *Prepared) Prepare(d int) {
 // cancellation contract, extended to the batch.
 func (pr *Prepared) PrepareDs(ctx context.Context, ds ...int) error {
 	coreness := pr.layerCoreness() // also resolves maxCoreness
-	var unionAdj [][]int32
-	if pr.g.L() <= 64 {
-		unionAdj = pr.unionAdjacency()
-	}
 	want := make([]int, 0, len(ds))
 	seen := make(map[int]bool, len(ds))
 	for _, d := range ds {
@@ -169,7 +162,7 @@ func (pr *Prepared) PrepareDs(ctx context.Context, ds ...int) error {
 		}
 		return nil
 	}
-	return buildHierarchies(ctx, pr.g, pending, coreness, unionAdj, pr.workers, pr.install)
+	return buildHierarchies(ctx, pr.g, pending, coreness, pr.workers, pr.install)
 }
 
 // PrepareAll builds every distinct hierarchy the graph admits — d from 1
@@ -230,33 +223,6 @@ func (pr *Prepared) layerCoreness() [][]int {
 	return pr.coreness
 }
 
-// unionAdjacency returns the d-independent union adjacency consumed by
-// refineC's seed flood, computing it on first use. It is shared by
-// every per-d hierarchy — UnionNeighbors allocates per call, so the
-// lists must be materialized once, never in refineC's inner loops. Only
-// built for graphs within the top-down layer limit, the sole consumer.
-func (pr *Prepared) unionAdjacency() [][]int32 {
-	pr.unionAdjOnce.Do(func() {
-		n := pr.g.N()
-		pr.unionAdj = make([][]int32, n)
-		// Chunked across vertex ranges rather than one pool task per
-		// vertex: the work per row is tiny, so per-vertex dispatch through
-		// the pool's atomic counter would dominate the pass.
-		const chunk = 1024
-		nchunks := (n + chunk - 1) / chunk
-		pool.Run(pr.workers, nchunks, func(c int) {
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			for v := lo; v < hi; v++ {
-				pr.unionAdj[v] = pr.g.UnionNeighbors(v)
-			}
-		})
-	})
-	return pr.unionAdj
-}
-
 // hierarchyFor returns the per-d removal hierarchy, building it on first
 // use for that d. The cache key is clamped at maxCoreness+1: for every d
 // beyond the graph's maximum coreness all per-layer d-cores are empty,
@@ -273,15 +239,11 @@ func (pr *Prepared) hierarchyFor(ctx context.Context, d int) *hierarchy {
 	if d > pr.maxCoreness+1 {
 		d = pr.maxCoreness + 1
 	}
-	var unionAdj [][]int32
-	if pr.g.L() <= 64 {
-		unionAdj = pr.unionAdjacency()
-	}
 	a := pr.artifact(d)
 	a.buildMu.Lock()
 	defer a.buildMu.Unlock()
 	if a.hier == nil {
-		hr := buildHierarchy(ctx, pr.g, d, coreness, unionAdj, pr.workers)
+		hr := buildHierarchy(ctx, pr.g, d, coreness, pr.workers)
 		if hr == nil {
 			return nil // cancelled mid-build; slot stays empty
 		}
@@ -298,7 +260,7 @@ func (pr *Prepared) hierarchyFor(ctx context.Context, d int) *hierarchy {
 // per-d hierarchy — two O(n·l) scans instead of a fresh decomposition.
 // The bitsets come from a pooled arena checked out for this query alone
 // (released by prep.release after result assembly), so concurrent
-// queries never share mutable state; the tdIndex is shared read-only.
+// queries never share mutable state; the hierarchy is shared read-only.
 func (pr *Prepared) newPrep(ctx context.Context, opts Options) *prep {
 	g := pr.g
 	n := g.N()
@@ -312,7 +274,7 @@ func (pr *Prepared) newPrep(ctx context.Context, opts Options) *prep {
 			g:     g,
 			opts:  opts,
 			ctx:   ctx,
-			idx:   &tdIndex{h: make([]int32, n), level: make([]int32, n), lmask: make([]uint64, n)},
+			h:     make([]int32, n),
 			rng:   rand.New(rand.NewSource(opts.Seed)),
 			alive: bitset.New(n),
 		}
@@ -333,7 +295,7 @@ func (pr *Prepared) newPrep(ctx context.Context, opts Options) *prep {
 		g:     g,
 		opts:  opts,
 		ctx:   ctx,
-		idx:   hr.idx,
+		h:     hr.h,
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 		owner: pr,
 		arena: a,
@@ -348,7 +310,7 @@ func (pr *Prepared) newPrep(ctx context.Context, opts Options) *prep {
 	} else {
 		p.alive.Clear()
 		for v := 0; v < n; v++ {
-			if hr.idx.h[v] >= minH {
+			if hr.h[v] >= minH {
 				p.alive.Add(v)
 			}
 		}

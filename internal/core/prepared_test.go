@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kcore"
 	"repro/internal/testutil"
 )
 
@@ -274,5 +275,29 @@ func TestPrecancelledContext(t *testing.T) {
 		if err := ValidateResult(g, Options{D: 2, S: 2, K: 2}, res); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestReducedCoresAreRootChildren pins the fact that lets the bottom-up
+// search skip its root-child peels: the reduced core {coreh_j ≥ s} is
+// already the d-core of layer j within the alive graph, i.e.
+// DCC(alive ∩ cores[j], {j}) == cores[j].
+func TestReducedCoresAreRootChildren(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := testutil.RandomCorrelatedGraph(rng, 5+rng.Intn(40), 1+rng.Intn(6), 0.1+0.3*rng.Float64(), 0.85, 0.08)
+		opts := Options{D: 1 + rng.Intn(4), S: 1 + rng.Intn(g.L()), K: 1, NoVertexDeletion: rng.Intn(2) == 0}
+		p := preprocess(g, opts)
+		defer p.release()
+		for j, core := range p.cores {
+			if got := kcore.DCC(g, p.alive.Intersection(core), []int{j}, opts.D); !got.Equal(core) {
+				t.Logf("seed=%d %+v layer %d: peel %v, reduced core %v", seed, opts, j, got.Slice(), core.Slice())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -25,7 +25,7 @@ type prep struct {
 	g     *multilayer.Graph
 	opts  Options
 	ctx   context.Context // query lifetime; nil means run to completion
-	idx   *tdIndex        // shared read-only per-d removal hierarchy index
+	h     []int32         // per-d removal thresholds (hierarchy.h), shared read-only
 	alive *bitset.Set
 	cores []*bitset.Set // per original layer, restricted to alive
 	order []int         // position -> original layer id

@@ -5,14 +5,6 @@ import (
 	"repro/internal/kcore"
 )
 
-// Vertex states used by refineC (Fig 10). Unexplored must be the zero
-// value: the scratch state array is reset to zero after every call.
-const (
-	stUnexplored   = 0
-	stUndetermined = 1
-	stDiscarded    = 2
-)
-
 // refineU shrinks the parent's potential vertex set U^d_L to U^d_{L′}
 // (Fig 9). L′ splits into Class 1 layers M (positions below the largest
 // missing position, which no descendant can drop) and Class 2 layers N
@@ -26,7 +18,13 @@ const (
 // needs a single pass, after which Rule 1 is exactly a multi-layer peel;
 // the combination reaches the same fixpoint as the paper's repeat-until
 // loop.
-func (t *tdSearch) refineU(u *bitset.Set, lpos []int) *bitset.Set {
+//
+// pinned is the parent's exact d-CC C^d_L (L′ ⊂ L). It lies in U′: it is
+// in U by the search invariant; each member sits in the reduced d-core
+// of every layer of L ⊇ N, so it passes Rule 2 (|N| = |L′| − |M| ≥
+// s − |M|); and it is d-dense on M ⊆ L. The Rule 1 peel therefore pins
+// it (kcore.PinnedDCC).
+func (t *tdSearch) refineU(u, pinned *bitset.Set, lpos []int) *bitset.Set {
 	p := t.prep
 	maxMissing := maxMissingPos(lpos, p.g.L())
 	var mLayers []int
@@ -66,7 +64,8 @@ func (t *tdSearch) refineU(u *bitset.Set, lpos []int) *bitset.Set {
 		return cur
 	}
 	p.stats.dccCalls.Add(1)
-	return kcore.DCC(p.g, cur, mLayers, p.opts.D)
+	out, _ := kcore.PinnedDCC(p.g, cur, pinned, mLayers, p.opts.D, nil)
+	return out
 }
 
 // maxMissingPos returns max([l] − L) over search positions, or -1 when L
@@ -95,32 +94,22 @@ func removablePos(lpos []int, l int) []int {
 	return out
 }
 
-// refineC computes the exact C^d_{L′} inside the potential set U (Fig 10).
+// refineC computes the exact C^d_{L′} inside the potential set U (Fig 10)
+// as one pinned peel over the Lemma 8 scope Z = U ∩ {v : h(v) ≥ |L′|}.
 //
-// The search scope is narrowed to Z = U ∩ ∪_{h ≥ |L′|} I_h (Lemma 8) and
-// then resolved by a seed flood: every vertex with L′ ⊆ L(v) is a seed
-// (Lemma 9), marking spreads from the seeds along index edges through Z,
-// each marked vertex is degree-tested against exact d⁺ counters, and
-// failures are *discarded* with cascading counter maintenance over the
-// layers of L′. Vertices the flood never reaches are discarded at the
-// end (with the same cascade), so the surviving marked set is d-dense on
-// every layer of L′ — hence ⊆ C^d_{L′} — while every member of C^d_{L′}
-// is reached: each union-connected component of the core is itself
-// d-dense per layer (no layer edge leaves a union component), so the
-// component's first-removed vertex still saw the whole component alive
-// and carries L′ ⊆ L(v).
+// pinned is the parent's exact d-CC C^d_L, L′ ⊂ L. Every member of it is
+// in C^d_{L′} (C^d_L is d-dense on L′ ⊆ L) and in Z: it lies in U by the
+// search invariant and has h(v) ≥ |L| > |L′| by Lemma 8, since it is
+// d-dense on |L| layers. So the peel never needs to count or test it;
+// only the rest of the scope is peeled, against the pinned vertices as
+// fixed neighbours (see DESIGN.md § RefineC: a pinned peel).
 //
-// This deliberately strengthens the printed pseudocode (see DESIGN.md):
-// the paper walks the levels in batch order and only marks upward, which
-// discards members whose union path to their component's seed passes
-// through a higher level — the seed flood ignores levels entirely, and
-// applies the seed test to every scope vertex rather than only the
-// lowest batch. Tests check exact equality with the dCC reference on
-// randomized instances.
-func (t *tdSearch) refineC(u *bitset.Set, lpos []int) *bitset.Set {
+// Cancellation: the peel polls the query context on a stride. On
+// interruption the counters are abandoned mid-cascade, so the only valid
+// partial is the empty set (the truncated flags are set by interrupted()
+// itself).
+func (t *tdSearch) refineC(u, pinned *bitset.Set, lpos []int) *bitset.Set {
 	p := t.prep
-	g, d := p.g, p.opts.D
-	layers := p.layersOf(lpos)
 	need := int32(len(lpos))
 
 	// Lemma 8 scope. The scope set lives in query scratch — it is consumed
@@ -128,137 +117,12 @@ func (t *tdSearch) refineC(u *bitset.Set, lpos []int) *bitset.Set {
 	z := t.scratchZ
 	z.Clear()
 	u.ForEach(func(v int) bool {
-		if t.idx.h[v] >= need {
+		if p.h[v] >= need {
 			z.Add(v)
 		}
 		return true
 	})
 	p.stats.dccCalls.Add(1)
-	if p.opts.UseDCCRefine {
-		return kcore.DCC(g, z, layers, d)
-	}
-
-	var wantMask uint64
-	for _, ly := range layers {
-		wantMask |= 1 << uint(ly)
-	}
-
-	// Initialize d⁺ counters: per layer of L′, the number of
-	// non-discarded neighbours inside Z.
-	state := t.state
-	dplus := t.dplus[:len(layers)]
-	z.ForEach(func(v int) bool {
-		for i, ly := range layers {
-			dplus[i][v] = int32(g.DegreeIn(ly, v, z))
-		}
-		return true
-	})
-
-	members := z.Slice32()
-
-	// Cancellation: the cascade and flood loops poll the query context on
-	// a stride. On interruption the counters are abandoned mid-cascade, so
-	// the only valid partial is the empty set — returned below with the
-	// scratch state still reset for the next call (the truncated flags are
-	// set by interrupted() itself).
-	aborted := false
-	steps := 0
-
-	discard := func(v int) {
-		state[v] = stDiscarded
-		stack := t.scratchStack[:0]
-		stack = append(stack, int32(v))
-		for len(stack) > 0 {
-			if steps++; steps&4095 == 0 && p.interrupted() {
-				aborted = true
-			}
-			if aborted {
-				break
-			}
-			x := int(stack[len(stack)-1])
-			stack = stack[:len(stack)-1]
-			for i, ly := range layers {
-				for _, u32 := range g.Neighbors(ly, x) {
-					uu := int(u32)
-					if !z.Contains(uu) || state[uu] == stDiscarded {
-						continue
-					}
-					dplus[i][uu]--
-					if state[uu] == stUndetermined && dplus[i][uu] < int32(d) {
-						state[uu] = stDiscarded
-						stack = append(stack, u32)
-					}
-				}
-			}
-		}
-		t.scratchStack = stack[:0]
-	}
-
-	degreeOK := func(v int) bool {
-		for i := range layers {
-			if dplus[i][v] < int32(d) {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Seed the flood with every Lemma 9 seed in the scope.
-	queue := t.scratchQueue[:0]
-	for _, v32 := range members {
-		if t.idx.lmask[v32]&wantMask == wantMask {
-			state[v32] = stUndetermined
-			queue = append(queue, v32)
-		}
-	}
-	// Flood: degree-test marked vertices and mark their unexplored scope
-	// neighbours; discards cascade through the counters as usual.
-	for len(queue) > 0 {
-		if steps++; steps&4095 == 0 && p.interrupted() {
-			aborted = true
-		}
-		if aborted {
-			break
-		}
-		v := int(queue[len(queue)-1])
-		queue = queue[:len(queue)-1]
-		if state[v] != stUndetermined {
-			continue // discarded by a cascade in the meantime
-		}
-		if !degreeOK(v) {
-			discard(v)
-			continue
-		}
-		for _, u32 := range t.idx.unionAdj[v] {
-			uu := int(u32)
-			if z.Contains(uu) && state[uu] == stUnexplored {
-				state[uu] = stUndetermined
-				queue = append(queue, u32)
-			}
-		}
-	}
-	t.scratchQueue = queue[:0]
-
-	// Vertices the flood never reached are provably outside C^d_{L′}
-	// (Lemma 9); discarding them drains their support from the survivors
-	// so the final degree feasibility counts marked vertices only.
-	for _, v32 := range members {
-		if aborted {
-			break
-		}
-		if state[v32] == stUnexplored {
-			discard(int(v32))
-		}
-	}
-
-	// The undetermined vertices are exactly C^d_{L′} (degree feasibility
-	// is enforced on every state transition and by the cascades).
-	out := bitset.New(g.N())
-	for _, v32 := range members {
-		if !aborted && state[v32] == stUndetermined {
-			out.Add(int(v32))
-		}
-		state[v32] = stUnexplored // reset scratch for the next call
-	}
+	out, _ := kcore.PinnedDCC(p.g, z, pinned, p.layersOf(lpos), p.opts.D, p.interrupted)
 	return out
 }

@@ -62,16 +62,13 @@ func TestRemovePos(t *testing.T) {
 func newTDSearchForTest(g *multilayer.Graph, opts Options) *tdSearch {
 	p := preprocess(g, opts)
 	p.sortLayers(true)
-	state, counts, dplus, z := p.searchScratch()
+	counts, z := p.searchScratch()
 	return &tdSearch{
 		prep:          p,
 		topk:          coverage.New(g.N(), opts.K),
-		idx:           p.idx,
 		rng:           p.rng,
-		state:         state,
 		scratchCounts: counts,
 		scratchZ:      z,
-		dplus:         dplus,
 	}
 }
 
@@ -102,17 +99,11 @@ func TestRefineCExact(t *testing.T) {
 				}
 				return true
 			})
-			got := ts.refineC(u, lpos)
+			got := ts.refineC(u, nil, lpos)
 			if !got.Equal(truth) {
 				t.Logf("seed=%d d=%d s=%d lpos=%v |U|=%d: refineC=%d truth=%d",
 					seed, d, s, lpos, u.Count(), got.Count(), truth.Count())
 				return false
-			}
-			// Scratch state must be clean for the next call.
-			for v := 0; v < g.N(); v++ {
-				if ts.state[v] != stUnexplored {
-					return false
-				}
 			}
 		}
 		return true
@@ -122,13 +113,12 @@ func TestRefineCExact(t *testing.T) {
 	}
 }
 
-// TestRefineCSeedThroughHigherLevel is the regression fixture for the
-// seed-flood strengthening: on this instance (found by quick.Check seed
-// 8649498021724360057) the members {1, 10} of C³_{layer 3} connect to
-// their component's only Lemma 9 seed exclusively through higher-level
-// vertices, so the paper's upward-only level walk discards them and the
-// cascade collapses the whole core to ∅. The level-free flood must
-// recover the exact core.
+// TestRefineCSeedThroughHigherLevel is an exactness fixture: on this
+// instance (found by quick.Check seed 8649498021724360057) the members
+// {1, 10} of C³_{layer 3} connect to their component's only Lemma 9 seed
+// exclusively through higher-level vertices, so the paper's upward-only
+// level walk discards them and collapses the whole core to ∅. RefineC
+// must recover the exact core.
 func TestRefineCSeedThroughHigherLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(8649498021724360057))
 	g := testutil.RandomCorrelatedGraph(rng, 8+rng.Intn(20), 2+rng.Intn(4), 0.35, 0.85, 0.08)
@@ -146,39 +136,52 @@ func TestRefineCSeedThroughHigherLevel(t *testing.T) {
 	if truth.Count() != 7 {
 		t.Fatalf("fixture drifted: |C³_{3}| = %d, want 7", truth.Count())
 	}
-	got := ts.refineC(p.alive, []int{pos3})
+	got := ts.refineC(p.alive, nil, []int{pos3})
 	if !got.Equal(truth) {
 		t.Fatalf("refineC = %v, want %v", got.Slice(), truth.Slice())
 	}
 }
 
-// TestRefineCMatchesDCCRefine checks the two refinement paths (index
-// seed-flood vs plain dCC on the Lemma 8 scope) agree.
-func TestRefineCMatchesDCCRefine(t *testing.T) {
+// TestRefineCPinnedMatchesUnpinned walks random chains of the top-down
+// tree the way the search does, pinning each child's refineU/refineC peel
+// to the parent's exact d-CC, and checks that both results equal the
+// unpinned peels and that the refined core is the exact C^d_{L′}.
+func TestRefineCPinnedMatchesUnpinned(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := testutil.RandomCorrelatedGraph(rng, 10+rng.Intn(25), 3+rng.Intn(4), 0.3, 0.85, 0.08)
 		d := 1 + rng.Intn(3)
 		s := 1 + rng.Intn(g.L())
-		a := Options{D: d, S: s, K: 3, Seed: seed}
-		b := a
-		b.UseDCCRefine = true
-		ra, err1 := TopDownDCCS(g, a)
-		rb, err2 := TopDownDCCS(g, b)
-		if err1 != nil || err2 != nil {
-			return false
+		ts := newTDSearchForTest(g, Options{D: d, S: s, K: 3, Seed: seed, NoVertexDeletion: rng.Intn(2) == 0})
+		p := ts.prep
+
+		lpos := make([]int, g.L())
+		for i := range lpos {
+			lpos[i] = i
 		}
-		if ra.CoverSize != rb.CoverSize || len(ra.Cores) != len(rb.Cores) {
-			return false
-		}
-		for i := range ra.Cores {
-			if len(ra.Cores[i].Vertices) != len(rb.Cores[i].Vertices) {
+		u := p.alive.Clone()
+		cc := kcore.DCC(g, p.alive, p.layersOf(lpos), d)
+		for len(lpos) > s {
+			rem := removablePos(lpos, g.L())
+			if len(rem) == 0 {
+				break
+			}
+			lchild := removePos(lpos, rem[rng.Intn(len(rem))])
+			u2 := ts.refineU(u, cc, lchild)
+			if !u2.Equal(ts.refineU(u, nil, lchild)) {
+				t.Logf("seed=%d lchild=%v: pinned refineU differs", seed, lchild)
 				return false
 			}
+			cc2 := ts.refineC(u2, cc, lchild)
+			if !cc2.Equal(ts.refineC(u2, nil, lchild)) || !cc2.Equal(kcore.DCC(g, p.alive, p.layersOf(lchild), d)) {
+				t.Logf("seed=%d lchild=%v: pinned refineC is not the exact d-CC", seed, lchild)
+				return false
+			}
+			lpos, u, cc = lchild, u2, cc2
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -202,6 +205,7 @@ func TestRefineUSound(t *testing.T) {
 			lpos[i] = i
 		}
 		u := p.alive.Clone()
+		parent := kcore.DCC(g, p.alive, p.layersOf(lpos), d)
 		for len(lpos) > s {
 			rem := removablePos(lpos, g.L())
 			if len(rem) == 0 {
@@ -209,7 +213,7 @@ func TestRefineUSound(t *testing.T) {
 			}
 			j := rem[rng.Intn(len(rem))]
 			lchild := removePos(lpos, j)
-			u2 := ts.refineU(u, lchild)
+			u2 := ts.refineU(u, parent, lchild)
 			if !u2.SubsetOf(u) {
 				return false
 			}
@@ -229,7 +233,7 @@ func TestRefineUSound(t *testing.T) {
 					return false
 				}
 			}
-			lpos, u = lchild, u2
+			lpos, u, parent = lchild, u2, cc
 		}
 		return true
 	}
@@ -259,63 +263,24 @@ func randomDescendantOf(rng *rand.Rand, lpos []int, l, s int) []int {
 	return out
 }
 
-// TestIndexLemma8 checks the index invariant behind Lemma 8: for every
-// layer subset L′ tried, C^d_{L′} only contains vertices with h(v) ≥ |L′|,
-// and the lowest-level members of C^d_{L′} carry L′ ⊆ L(v) (the seeds of
-// Lemma 9).
+// TestIndexLemma8 checks the hierarchy invariant behind RefineC's scope
+// (Lemma 8): for every layer subset L′ tried, C^d_{L′} only contains
+// vertices with h(v) ≥ |L′|.
 func TestIndexLemma8(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := testutil.RandomCorrelatedGraph(rng, 8+rng.Intn(25), 2+rng.Intn(4), 0.3, 0.85, 0.08)
 		d := 1 + rng.Intn(3)
 		alive := bitset.NewFull(g.N())
-		idx := NewPrepared(g, 1).hierarchyFor(context.Background(), d).idx
-
-		// The index partitions all vertices.
-		seen := bitset.New(g.N())
-		for _, lv := range idx.levels {
-			for _, v := range lv {
-				if !seen.Add(int(v)) {
-					return false
-				}
-			}
-		}
-		if seen.Count() != g.N() {
-			return false
-		}
+		h := NewPrepared(g, 1).hierarchyFor(context.Background(), d).h
 
 		for trial := 0; trial < 5; trial++ {
 			size := 1 + rng.Intn(g.L())
 			layers := testutil.RandomLayerSubset(rng, g.L(), size)
-			cc := kcore.DCC(g, alive, layers, d)
-			if cc.Empty() {
-				continue
-			}
-			minLevel := int32(1 << 30)
-			cc.ForEach(func(v int) bool {
-				if idx.h[v] < int32(size) {
-					return false
-				}
-				if idx.level[v] < minLevel {
-					minLevel = idx.level[v]
-				}
-				return true
-			})
-			var want uint64
-			for _, ly := range layers {
-				want |= 1 << uint(ly)
-			}
 			ok := true
-			cc.ForEach(func(v int) bool {
-				if idx.h[v] < int32(size) {
-					ok = false // Lemma 8 violated
-					return false
-				}
-				if idx.level[v] == minLevel && idx.lmask[v]&want != want {
-					ok = false // lowest-batch member must be a seed
-					return false
-				}
-				return true
+			kcore.DCC(g, alive, layers, d).ForEach(func(v int) bool {
+				ok = h[v] >= int32(size)
+				return ok
 			})
 			if !ok {
 				return false

@@ -10,7 +10,7 @@ import (
 	"repro/internal/leio"
 )
 
-// Engine snapshots (.mlgs, version 1) persist a Prepared's cached
+// Engine snapshots (.mlgs, version 3) persist a Prepared's cached
 // artifacts — the d-independent per-layer coreness and every completed
 // per-d removal hierarchy — so a restarted server answers its first
 // query warm instead of re-deriving minutes of preprocessing. The
@@ -28,40 +28,31 @@ import (
 //	graph version int64 (format v2+; live-graph update counter, 0 for
 //	  immutable engines — v1 snapshots restore as version 0)
 //	coreness: l sections of n int32
-//	union adjacency (d-independent, consumed by top-down refinement):
-//	  total int64 (-1 when absent), then offsets (n+1)×int64 and the
-//	  flat neighbor array total×int32 — CSR, exactly like a .mlgb layer
 //	numD int64, then per d (ascending):
-//	  d int64, flags uint32 (bit 0: layer masks present, i.e. l ≤ 64)
-//	  h: n int32        — removal threshold per vertex (tdIndex.h)
-//	  lmask: n uint64   — L(v) layer bitmask (only when flags bit 0)
+//	  d int64
+//	  h: n int32        — removal threshold per vertex (hierarchy.h)
 //	  coreh: l sections of n int32 — per-layer core-drop thresholds
 //	trailer: FNV-1a checksum (uint64) over everything before it
 //
-// The tdIndex level/levels fields are deliberately NOT persisted: no
-// query path reads them (refineC's seed flood replaced the printed
-// level walk in PR 2), so a restored index leaves them empty.
+// Versions 1 and 2 also carried the union adjacency (after coreness:
+// total int64, -1 when absent, then (n+1)×int64 offsets and total×int32
+// ids) and, per d, a flags uint32 plus n uint64 layer masks when flag
+// bit 0 was set. Nothing reads them since RefineC became a pinned peel;
+// restore still parses and range-checks them, then drops them.
 //
 // The graph fingerprint only ties the snapshot to its graph; the
 // trailing checksum covers the snapshot body itself, so a corrupt or
 // bit-rotted artifact is rejected up front instead of surfacing as a
-// panic (or a silently wrong answer) mid-query. The union-adjacency ids
-// are additionally range-checked on restore — they index per-vertex
-// arrays in the refinement hot path, the one place corrupt content
-// could crash rather than merely mislead.
-//
-// The union adjacency is derivable from the graph, but rebuilding it
-// would dominate restore time, so any snapshot carrying hierarchies
-// (which force its materialization, l ≤ 64 only) embeds it in CSR form
-// and restore becomes pure section loads.
+// panic (or a silently wrong answer) mid-query.
 
 // SnapshotMagic is the 4-byte magic prefix of engine snapshot files.
 const SnapshotMagic = "MLGS"
 
 // snapshotVersion is the current format version. Version 2 added the
 // graph-version stamp so a warm-started mutable engine resumes its
-// update counter; version-1 files are still readable (version 0).
-const snapshotVersion = 2
+// update counter; version 3 dropped the union adjacency and the layer
+// masks. Version-1 and -2 files are still readable (v1 as version 0).
+const snapshotVersion = 3
 
 // WriteSnapshot serializes the artifacts this Prepared has finished
 // building: the per-layer coreness (built now if the handle is still
@@ -102,44 +93,14 @@ func (pr *Prepared) WriteSnapshot(w io.Writer) error {
 		lw.I32s(buf32)
 		lw.Pad8()
 	}
-	if l <= 64 && len(ds) > 0 {
-		// Any persisted hierarchy forced the union adjacency's
-		// materialization already; unionAdjacency only returns the cache.
-		unionAdj := pr.unionAdjacency()
-		offsets := make([]int64, n+1)
-		total := int64(0)
-		for v, nbrs := range unionAdj {
-			offsets[v] = total
-			total += int64(len(nbrs))
-		}
-		offsets[n] = total
-		lw.I64(total)
-		lw.I64s(offsets)
-		for _, nbrs := range unionAdj {
-			lw.I32s(nbrs)
-		}
-		lw.Pad8()
-	} else {
-		lw.I64(-1)
-	}
 	lw.I64(int64(len(ds)))
 	for _, d := range ds {
 		pr.mu.Lock()
 		hr := pr.byD[d].hier
 		pr.mu.Unlock()
-		idx := hr.idx
 		lw.I64(int64(d))
-		flags := uint32(0)
-		if idx.lmask != nil {
-			flags |= 1
-		}
-		lw.U32(flags)
+		lw.I32s(hr.h)
 		lw.Pad8()
-		lw.I32s(idx.h)
-		lw.Pad8()
-		if idx.lmask != nil {
-			lw.U64s(idx.lmask)
-		}
 		for i := 0; i < l; i++ {
 			lw.I32s(hr.coreh[i])
 			lw.Pad8()
@@ -217,32 +178,10 @@ func (pr *Prepared) RestoreSnapshot(data []byte) error {
 		}
 	}
 
-	var unionAdj [][]int32
-	if total := r.I64(); total >= 0 {
-		offsets := r.I64s(r.Count(int64(n)+1, 8))
-		flat := r.I32s(r.Count(total, 4))
-		r.Align8()
-		if r.Err() != nil {
-			return r.Err()
+	if fv < 3 {
+		if err := skipUnionAdjacency(r, n); err != nil {
+			return err
 		}
-		// Union-adjacency ids index per-vertex arrays inside the top-down
-		// refinement; range-check them here so no snapshot content can
-		// turn into an out-of-range access later.
-		for _, u := range flat {
-			if u < 0 || u >= int32(n) {
-				return fmt.Errorf("core: snapshot union adjacency id %d out of range [0,%d)", u, n)
-			}
-		}
-		unionAdj = make([][]int32, n)
-		for v := 0; v < n; v++ {
-			lo, hi := offsets[v], offsets[v+1]
-			if lo < 0 || hi < lo || hi > total {
-				return fmt.Errorf("core: snapshot union adjacency offsets invalid at vertex %d", v)
-			}
-			unionAdj[v] = flat[lo:hi]
-		}
-	} else if r.Err() != nil {
-		return r.Err()
 	}
 
 	type entry struct {
@@ -256,8 +195,11 @@ func (pr *Prepared) RestoreSnapshot(data []byte) error {
 	entries := make([]entry, 0, numD)
 	for e := int64(0); e < numD; e++ {
 		d := r.I64()
-		flags := r.U32()
-		r.Align8()
+		var flags uint32
+		if fv < 3 {
+			flags = r.U32()
+			r.Align8()
+		}
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -267,13 +209,18 @@ func (pr *Prepared) RestoreSnapshot(data []byte) error {
 		if flags&1 != 0 && l > 64 {
 			return fmt.Errorf("core: snapshot carries layer masks for an l=%d graph", l)
 		}
-		idx := &tdIndex{}
-		idx.h = r.I32s(n)
+		h := r.I32s(n)
 		r.Align8()
 		if flags&1 != 0 {
-			idx.lmask = r.U64s(n)
+			// Pre-v3 layer masks: nothing reads them, but a set bit at or
+			// beyond l marks a writer bug or corruption.
+			for _, mask := range r.U64s(n) {
+				if l < 64 && mask>>uint(l) != 0 {
+					return fmt.Errorf("core: snapshot layer mask %#x names a layer beyond l=%d", mask, l)
+				}
+			}
 		}
-		hr := &hierarchy{idx: idx, coreh: make([][]int32, l)}
+		hr := &hierarchy{h: h, coreh: make([][]int32, l)}
 		for i := 0; i < l; i++ {
 			hr.coreh[i] = r.I32s(n)
 			r.Align8()
@@ -300,27 +247,44 @@ func (pr *Prepared) RestoreSnapshot(data []byte) error {
 	if uint64(graphVersion) > pr.version.Load() {
 		pr.version.Store(uint64(graphVersion))
 	}
-	if unionAdj != nil {
-		pr.unionAdjOnce.Do(func() { pr.unionAdj = unionAdj })
-		unionAdj = pr.unionAdj // whichever copy the once kept
-	} else if l <= 64 && len(entries) > 0 {
-		// Old artifacts without the embedded section: rebuild from the
-		// graph (one parallel sweep, deterministic).
-		unionAdj = pr.unionAdjacency()
-	}
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	for _, e := range entries {
 		if pr.byD[e.d] != nil {
 			continue // already built (or building) locally; keep it
 		}
-		if e.hier.idx.lmask != nil {
-			e.hier.idx.unionAdj = unionAdj
-		}
 		a := &dArtifact{}
 		a.hier = e.hier
 		a.done.Store(true)
 		pr.byD[e.d] = a
+	}
+	return nil
+}
+
+// skipUnionAdjacency reads the union-adjacency section of a pre-v3
+// snapshot and drops it after checking that its offsets and ids are in
+// range, so a malformed old file is still rejected rather than half
+// trusted.
+func skipUnionAdjacency(r *leio.Reader, n int) error {
+	total := r.I64()
+	if r.Err() != nil || total < 0 {
+		return r.Err()
+	}
+	offsets := r.I64s(r.Count(int64(n)+1, 8))
+	flat := r.I32s(r.Count(total, 4))
+	r.Align8()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	for _, u := range flat {
+		if u < 0 || u >= int32(n) {
+			return fmt.Errorf("core: snapshot union adjacency id %d out of range [0,%d)", u, n)
+		}
+	}
+	for v := 0; v < n; v++ {
+		if lo, hi := offsets[v], offsets[v+1]; lo < 0 || hi < lo || hi > total {
+			return fmt.Errorf("core: snapshot union adjacency offsets invalid at vertex %d", v)
+		}
 	}
 	return nil
 }

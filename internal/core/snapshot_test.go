@@ -106,8 +106,8 @@ func TestSnapshotColdHandle(t *testing.T) {
 	}
 }
 
-// TestSnapshotWideGraph exercises the l > 64 path, where the index
-// carries no layer masks and no union adjacency.
+// TestSnapshotWideGraph exercises the l > 64 path, where the hierarchy
+// build cannot use the tracker's 64-bit layer masks.
 func TestSnapshotWideGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := testutil.RandomCorrelatedGraph(rng, 25, 66, 0.3, 0.7, 0.02)

@@ -18,7 +18,7 @@ import (
 // TopDownDCCS implements the TD-DCCS algorithm (Figs 8 and 11) through a
 // throwaway Prepared handle. Long-lived callers should hold a Prepared
 // (or the public dccs.Engine) and use its TopDown method, which
-// amortizes preprocessing and index construction across queries.
+// amortizes preprocessing and hierarchy construction across queries.
 func TopDownDCCS(g *multilayer.Graph, opts Options) (*Result, error) {
 	return NewPrepared(g, opts.MaterializeWorkers()).TopDown(context.Background(), opts)
 }
@@ -27,9 +27,9 @@ func TopDownDCCS(g *multilayer.Graph, opts Options) (*Result, error) {
 // tree is searched from the full layer set [l] down to level s. Each
 // node carries both its d-CC C^d_L and a potential vertex set U^d_L that
 // over-approximates every size-s descendant; children are produced by
-// RefineU (shrinking U) and RefineC (recovering the exact d-CC over the
-// cached removal-hierarchy index), and subtrees are pruned with Lemmas
-// 5–7. Approximation ratio 1/4 (Theorem 4). It is the preferred
+// RefineU (shrinking U) and RefineC (recovering the exact d-CC inside
+// the Lemma 8 scope of the cached removal hierarchy), both peeling with
+// the parent's d-CC pinned, and subtrees are pruned with Lemmas 5–7. Approximation ratio 1/4 (Theorem 4). It is the preferred
 // algorithm when s ≥ l(G)/2.
 //
 // The implementation supports l(G) ≤ 64 (layer sets are bitmasks); the
@@ -53,16 +53,13 @@ func (pr *Prepared) TopDown(ctx context.Context, opts Options) (*Result, error) 
 	p.initTopK(topk)
 	p.sortLayers(true) // ascending |C^d(G_i)| (§V-D)
 
-	state, counts, dplus, z := p.searchScratch()
+	counts, z := p.searchScratch()
 	t := &tdSearch{
 		prep:          p,
 		topk:          topk,
-		idx:           p.idx,
 		rng:           p.rng,
-		state:         state,
 		scratchCounts: counts,
 		scratchZ:      z,
-		dplus:         dplus,
 	}
 
 	// Root: C^d_[l] computed by dCC on the whole (preprocessed) graph.
@@ -93,43 +90,29 @@ func (pr *Prepared) TopDown(ctx context.Context, opts Options) (*Result, error) 
 }
 
 // tdSearch carries the state of one top-down run, including the scratch
-// buffers reused across refineC calls. The parallel engine gives every
-// first-level subtree its own tdSearch (scratch buffers and rng are
-// single-goroutine state); prep and idx are shared read-only.
+// buffers reused across refineU/refineC calls. The parallel engine gives
+// every first-level subtree its own tdSearch (scratch buffers and rng are
+// single-goroutine state); prep is shared read-only.
 type tdSearch struct {
 	prep *prep
 	topk *coverage.TopK
-	idx  *tdIndex
 	rng  *rand.Rand // Lemma 7 descendant selection; per subtree in parallel runs
 
-	state         []uint8
-	dplus         [][]int32
 	scratchCounts []int32
 	scratchZ      *bitset.Set
-	scratchStack  []int32
-	scratchQueue  []int32
 }
 
 // workerScratch returns a tdSearch shell with fresh scratch buffers for
-// one pool worker of a parallel run. The scratch arrays (the expensive
-// part: dplus is l×n) are reused across every subtree the worker
-// processes — refineC leaves them reset — while topk and rng, which
-// must be deterministic per subtree, are installed per task.
+// one pool worker of a parallel run. The buffers are reused across every
+// subtree the worker processes, while topk and rng, which must be
+// deterministic per subtree, are installed per task.
 func (t *tdSearch) workerScratch() *tdSearch {
-	p := t.prep
-	n := p.g.N()
-	w := &tdSearch{
-		prep:          p,
-		idx:           t.idx,
-		state:         make([]uint8, n),
+	n := t.prep.g.N()
+	return &tdSearch{
+		prep:          t.prep,
 		scratchCounts: make([]int32, n),
 		scratchZ:      bitset.New(n),
 	}
-	w.dplus = make([][]int32, p.g.L())
-	for i := range w.dplus {
-		w.dplus[i] = make([]int32, n)
-	}
-	return w
 }
 
 // genParallel expands the root of the top-down tree and hands each
@@ -166,10 +149,10 @@ func (t *tdSearch) genParallel(workers int, L []int, cL *bitset.Set) *coverage.T
 		sub.topk = snapshot.Clone()
 		sub.rng = rand.New(rand.NewSource(int64(uint64(p.opts.Seed) + uint64(i+1)*0x9E3779B97F4A7C15)))
 		lchild := removePos(L, j)
-		childU := sub.refineU(p.alive, lchild)
+		childU := sub.refineU(p.alive, cL, lchild)
 		switch {
 		case len(lchild) == s:
-			cc := sub.refineC(childU, lchild)
+			cc := sub.refineC(childU, cL, lchild)
 			p.stats.candidates.Add(1)
 			vs, layers := cc.Slice32(), p.layersOf(lchild)
 			if sub.topk.Update(vs, layers) {
@@ -179,7 +162,7 @@ func (t *tdSearch) genParallel(workers int, L []int, cL *bitset.Set) *coverage.T
 		case childU.Empty() && !p.opts.NoEq1Pruning:
 			p.stats.pruned.Add(1) // empty-subtree cut (see gen)
 		default:
-			cc := sub.refineC(childU, lchild)
+			cc := sub.refineC(childU, cL, lchild)
 			sub.gen(lchild, cc, childU)
 		}
 		locals[i] = sub.topk.Entries()
@@ -216,14 +199,14 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 	// branch); the exact child d-CCs are recovered lazily.
 	childU := make(map[int]*bitset.Set, len(lr))
 	for _, j := range lr {
-		childU[j] = t.refineU(uL, removePos(L, j))
+		childU[j] = t.refineU(uL, cL, removePos(L, j))
 	}
 
 	if t.topk.Len() < t.topk.K() {
 		for _, j := range lr {
 			lchild := removePos(L, j)
 			if len(lchild) == s {
-				cc := t.refineC(childU[j], lchild)
+				cc := t.refineC(childU[j], cL, lchild)
 				p.stats.candidates.Add(1)
 				vs, layers := cc.Slice32(), p.layersOf(lchild)
 				if t.topk.Update(vs, layers) {
@@ -236,7 +219,7 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 				// of empty candidates (see the matching cut in BU-Gen).
 				p.stats.pruned.Add(1)
 			} else {
-				cc := t.refineC(childU[j], lchild)
+				cc := t.refineC(childU[j], cL, lchild)
 				t.gen(lchild, cc, childU[j])
 			}
 		}
@@ -259,7 +242,7 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 		}
 		lchild := removePos(L, j)
 		if len(lchild) == s {
-			cc := t.refineC(childU[j], lchild)
+			cc := t.refineC(childU[j], cL, lchild)
 			p.stats.candidates.Add(1)
 			vs, layers := cc.Slice32(), p.layersOf(lchild)
 			if t.topk.Update(vs, layers) {
@@ -278,16 +261,17 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 			p.stats.pruned.Add(1)
 			continue
 		}
-		cc := t.refineC(childU[j], lchild)
+		cc := t.refineC(childU[j], cL, lchild)
 		// Lemma 7: when the child's own d-CC already satisfies Eq. (1)
 		// — so every size-s descendant (a superset) does too — and the
 		// potential set is small enough (Eq. (2)), a single random
-		// descendant absorbs all the value the subtree can offer.
+		// descendant absorbs all the value the subtree can offer. Its
+		// d-CC contains cc (sub ⊂ lchild), which therefore stays pinned.
 		if !p.opts.NoPotentialPruning &&
 			t.topk.SatisfiesEq1(cc.Slice32()) && t.topk.SatisfiesEq2(childU[j].Count()) {
 			if sub := t.randomDescendant(lchild); sub != nil {
 				p.stats.dccCalls.Add(1)
-				csub := kcore.DCC(p.g, childU[j], p.layersOf(sub), p.opts.D)
+				csub, _ := kcore.PinnedDCC(p.g, childU[j], cc, p.layersOf(sub), p.opts.D, nil)
 				p.stats.candidates.Add(1)
 				vs, layers := csub.Slice32(), p.layersOf(sub)
 				if t.topk.Update(vs, layers) {

@@ -51,6 +51,19 @@ func BenchmarkDCC(b *testing.B) {
 	}
 }
 
+// BenchmarkPinnedDCC measures the top-down child peel: one layer fewer
+// than BenchmarkDCC, with the all-layer d-CC (the parent's core) pinned.
+func BenchmarkPinnedDCC(b *testing.B) {
+	fx, layers := benchGraph(b)
+	full := bitset.NewFull(fx.g.N())
+	parent := DCC(fx.g, full, layers, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PinnedDCC(fx.g, full, parent, layers[1:], 2, nil)
+	}
+}
+
 // BenchmarkCoreness measures the unmasked bin-sort core decomposition of
 // a single layer.
 func BenchmarkCoreness(b *testing.B) {
