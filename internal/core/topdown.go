@@ -29,8 +29,9 @@ func TopDownDCCS(g *multilayer.Graph, opts Options) (*Result, error) {
 // over-approximates every size-s descendant; children are produced by
 // RefineU (shrinking U) and RefineC (recovering the exact d-CC inside
 // the Lemma 8 scope of the cached removal hierarchy), both peeling with
-// the parent's d-CC pinned, and subtrees are pruned with Lemmas 5–7. Approximation ratio 1/4 (Theorem 4). It is the preferred
-// algorithm when s ≥ l(G)/2.
+// the parent's d-CC pinned, and subtrees are pruned with Lemmas 5–7.
+// Approximation ratio 1/4 (Theorem 4). It is the preferred algorithm
+// when s ≥ l(G)/2.
 //
 // The implementation supports l(G) ≤ 64 (layer sets are bitmasks); the
 // paper's largest dataset has 24 layers.

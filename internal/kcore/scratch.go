@@ -3,21 +3,22 @@ package kcore
 import "sync"
 
 // dccScratch is the reusable per-call state of the flat DCC peel: the
-// tri-state vertex array, the per-layer degree counters, the member list
+// vertex state array, the per-layer degree counters, the member list
 // and the deletion queue. Pooling it removes every per-call allocation
 // from the peel — DCC sits in the inner loops of all three DCCS
 // algorithms (candidate generation calls it once per tree node), so the
 // allocator and GC pressure of the old per-call make()s was a measurable
 // share of query time.
 //
-// Invariant: state is all-zero whenever the scratch is in the pool. DCC
-// restores it by re-scanning the member list before releasing; deg, the
-// member list and the queue may hold stale values, which is safe because
-// every read of deg[idx][v] is preceded by a write in the same call (the
-// init pass writes all layers of every vertex that survives it, and the
-// cascade only reads degrees of surviving vertices).
+// Invariant: state is all-zero whenever the scratch is in the pool. The
+// peel restores it by re-scanning the member list and the pinned set
+// before releasing; deg, the member list and the queue may hold stale
+// values, which is safe because every read of deg[idx][v] is preceded by
+// a write in the same call (the init pass writes all layers of every
+// vertex that survives it, and the cascade only reads degrees of
+// surviving unpinned vertices).
 type dccScratch struct {
-	state   []uint8 // 0 = outside S, 1 = alive, 2 = enqueued/removed
+	state   []uint8 // stOutside, stAlive, stDead (enqueued/removed) or stPinned
 	deg     [][]int32
 	members []int32
 	queue   []int32
