@@ -29,8 +29,8 @@ type DirtySet struct {
 	// len(Layers) are treated as clean.
 	Layers []bool
 	// UnionVerts lists every vertex incident to a changed edge (sorted,
-	// deduplicated). Derive ignores it: no cached artifact is keyed by
-	// vertex any more. It stays for callers that report it.
+	// deduplicated). Derive ignores it — no cached artifact is keyed by
+	// vertex adjacency — and it stays for callers that report it.
 	UnionVerts []int32
 	// MaxDirtyD is max over changed edges of min(deg(u), deg(v)) on the
 	// edge's layer, counting the edge itself. Removal hierarchies with
